@@ -62,7 +62,11 @@ from typing import Callable, Iterable
 from repro.algebra.operators import Plan, WScan
 from repro.algebra.translate import sgq_to_sga
 from repro.checkpoint.rebalance import rebalance_states
-from repro.checkpoint.topology import load_operator_states, operator_keys
+from repro.checkpoint.topology import (
+    TOPOLOGY_VERSION,
+    load_operator_states,
+    operator_keys,
+)
 from repro.core.batch import BatchScheduler, RunStats
 from repro.core.coalesce import coalesce_stream
 from repro.core.interning import Interner, intern_plan
@@ -91,8 +95,11 @@ from repro.physical.planner import (
     compile_plan,
     evict_dead,
     plan_slide,
+    relabel_input,
+    tap_operator,
 )
 from repro.physical.state_arrays import apply_state_layout
+from repro.physical.union import relabel_event
 from repro.ql.query import Query
 from repro.query.datalog import ANSWER
 from repro.query.sgq import SGQ
@@ -495,7 +502,8 @@ class SgaQueryHandle(QueryHandle):
         with; ``"optimized"`` shows it after the relabel-fusion rewrite;
         ``"physical"`` compiles a standalone dataflow with this query's
         options (inside the session the actual dataflow is shared, so
-        operators may be fused with other queries' plans).
+        operators may be shared with other queries' sub-plans that are
+        equal modulo unobserved output labels, behind relabel stages).
         """
         from repro.ql.pipeline import explain_plan_stage
 
@@ -869,7 +877,7 @@ class StreamingGraphEngine:
         self._lifecycle_lock = threading.RLock()
         # sga backend state
         self._graph = DataflowGraph()
-        self._caches: dict[tuple, dict[Plan, PhysicalOperator]] = {}
+        self._caches: dict[tuple, dict] = {}
         self._executor: Executor | None = None
         #: vertex dictionary for interned execution (columnar or vector):
         #: ids flow inside the dataflow, every read surface decodes
@@ -1191,21 +1199,27 @@ class StreamingGraphEngine:
         self._graph.push_watermark(executor.current_boundary)
         self._graph.sync_watermarks()
         # Full-plan re-share: backfill the accumulated result events of
-        # the richest live handle rooted at the same operator.
+        # the richest live handle rooted at the same operator, or at the
+        # same operator under a relabel stage (its events then take this
+        # query's label).
+        graph = self._graph
+        base = relabel_input(graph, root) if root is not None else None
         donor: SgaQueryHandle | None = None
         for other in self._handles.values():
             if (
                 isinstance(other, SgaQueryHandle)
                 and other is not handle
-                and other._root is root
+                and other._root is not None
+                and relabel_input(graph, other._root) is base
             ):
                 if donor is None or len(other._sink.events) > len(
                     donor._sink.events
                 ):
                     donor = other
         if donor is not None:
+            label = plan.out_label
             for event in list(donor._sink.events):
-                sink.on_event(0, event)
+                sink.on_event(0, relabel_event(event, label))
 
     def _register_dd(
         self,
@@ -1354,7 +1368,10 @@ class StreamingGraphEngine:
         so intermediate results are first-class streams too.  The
         returned sink collects the label's sgts from the moment of the
         call on.  A tap pins its producer: :meth:`unregister` never
-        prunes operators a tap still observes.
+        prunes operators a tap still observes.  When the label's
+        sub-plan shares an operator compiled under another label (see
+        :meth:`sharing_savings`), the tap observes it through a relabel
+        stage.
 
         Sharded sessions (inline transport) tap every shard's instance
         of the producing operator and return a
@@ -1369,24 +1386,36 @@ class StreamingGraphEngine:
                 sink = self._sharded.tap(label, self._interner)
                 self._has_tap = True
                 return sink
-            for op in self._graph.operators:
-                produced = getattr(op, "out_label", None)
-                if produced is None:
-                    produced = getattr(op, "label", None)
-                if produced == label and not isinstance(op, SinkOp):
-                    sink = SinkOp(name=f"tap[{label}]")
-                    if self._interner is not None:
-                        # Tap events are user-facing raw stream data:
-                        # decode on arrival so ``tap.events`` carries
-                        # real vertices.
-                        sink.interner = self._interner
-                        sink.decode_eagerly = True
-                    self._graph.add(sink)
-                    self._graph.connect(op, sink, 0)
-                    self._has_tap = True
-                    self._refresh_vector_mode()
-                    return sink
-            raise PlanError(f"no operator produces label {label!r}")
+            interner = self._interner
+            op = tap_operator(
+                label,
+                self._graph,
+                (
+                    (
+                        h.plan if interner is None else intern_plan(h.plan, interner),
+                        self._caches[h._options],
+                        h._options,
+                    )
+                    for h in self._handles.values()
+                    if isinstance(h, SgaQueryHandle)
+                ),
+            )
+            if op is None:
+                raise PlanError(f"no operator produces label {label!r}")
+            # A relabel stage spliced into a live dataflow starts at its
+            # producer's watermark.
+            self._graph.sync_watermarks()
+            sink = SinkOp(name=f"tap[{label}]")
+            if interner is not None:
+                # Tap events are user-facing raw stream data: decode
+                # on arrival so ``tap.events`` carries real vertices.
+                sink.interner = interner
+                sink.decode_eagerly = True
+            self._graph.add(sink)
+            self._graph.connect(op, sink, 0)
+            self._has_tap = True
+            self._refresh_vector_mode()
+            return sink
 
     def operator_count(self) -> int:
         """Operators in the shared dataflow (excluding sinks).
@@ -1402,7 +1431,16 @@ class StreamingGraphEngine:
         )
 
     def sharing_savings(self) -> int:
-        """Operators saved by sharing, vs compiling each query alone."""
+        """Operators saved by sharing: the operators each registered
+        query compiles to on its own, summed, minus
+        :meth:`operator_count`.
+
+        Sub-plans are shared when they are structurally equal modulo
+        output labels no consumer observes.  Relabel stages, which
+        re-apply a label where a sink or tap observes it, are operators
+        of the shared dataflow and count against the saving.  Sinks do
+        not count on either side.
+        """
         self._require_sga("sharing_savings")
         if self._sharded is not None:
             raise ExecutionError(
@@ -1674,6 +1712,7 @@ class StreamingGraphEngine:
                 "config": dataclasses.asdict(config),
                 "queries": queries,
                 "auto": self._auto,
+                "topology": TOPOLOGY_VERSION,
                 "boundary": boundary,
                 "late_count": late,
                 "interner": (
@@ -1808,17 +1847,40 @@ class StreamingGraphEngine:
         elif self._sharded is not None:
             if len(blobs) != self._config.shards:
                 blobs = rebalance_states(blobs, self._config.shards)
-            self._sharded.restore_shards(blobs, boundary, late)
+            self._restore_operator_states(
+                state,
+                lambda: self._sharded.restore_shards(blobs, boundary, late),
+            )
         else:
             keys = operator_keys(
                 [(n, h._sink) for n, h in self._handles.items()], self._graph
             )
-            load_operator_states(keys, blobs[0])
+            self._restore_operator_states(
+                state, lambda: load_operator_states(keys, blobs[0])
+            )
             if boundary is not None:
                 self._ensure_executor().restore_clock(
                     {"boundary": boundary, "late_count": late}
                 )
         self._auto = state["auto"]
+
+    @staticmethod
+    def _restore_operator_states(state: dict, load: Callable[[], None]) -> None:
+        """Run ``load``; a checkpoint from a build that predates
+        label-agnostic operator sharing (no ``topology`` field) whose
+        keys do not match gets that cause stated."""
+        try:
+            load()
+        except CheckpointError as exc:
+            if "topology" in state:
+                raise
+            raise CheckpointError(
+                "checkpoint predates label-agnostic operator sharing "
+                f"(this build compiles topology version {TOPOLOGY_VERSION}): "
+                "sub-plans that differ only in output labels now compile "
+                "to one operator, so rebuild the state by replaying the "
+                f"stream; {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # Internals

@@ -92,9 +92,12 @@ from repro.physical.planner import (
     compile_into,
     evict_dead,
     plan_slide,
+    relabel_input,
+    tap_operator,
 )
 from repro.physical.rpq_negative import NegativeTupleRpqOp
 from repro.physical.state_arrays import apply_state_layout
+from repro.physical.union import relabel_event
 
 __all__ = ["ShardedSgaRuntime", "MergedTapSink"]
 
@@ -165,6 +168,20 @@ class _Shard:
         if self.state_layout != "objects":
             apply_state_layout(self.graph.operators, self.state_layout)
         return sink
+
+    def tap_producer(self, label: str, queries: list) -> "object | None":
+        """The operator a tap on ``label`` attaches to on this shard
+        (see :func:`~repro.physical.planner.tap_operator`); ``queries``
+        holds ``(plan, options)`` in registration order."""
+        spec = ShardSpec(self.ctx, self.next_uid)
+        op = tap_operator(
+            label,
+            self.graph,
+            ((plan, self.caches[options], options) for plan, options in queries),
+            shard=spec,
+        )
+        self.next_uid = spec.next_uid
+        return op
 
     def drop_query(self, name: str) -> None:
         sink = self.sinks.pop(name)
@@ -472,10 +489,16 @@ class ShardedSgaRuntime:
             shard.graph.sync_watermarks()
         shard0 = self._shards[0]
         root = shard0.roots.get(name)
+        base = relabel_input(shard0.graph, root) if root is not None else None
         donor: str | None = None
         donor_events = -1
         for other, other_root in shard0.roots.items():
-            if other != name and other_root is root and root is not None:
+            if (
+                other != name
+                and base is not None
+                and other_root is not None
+                and relabel_input(shard0.graph, other_root) is base
+            ):
                 size = sum(
                     len(s.sinks[other].events) for s in self._shards
                 )
@@ -483,10 +506,11 @@ class ShardedSgaRuntime:
                     donor = other
                     donor_events = size
         if donor is not None:
+            label = self._queries[name][0].out_label
             for shard in self._shards:
                 sink = shard.sinks[name]
                 for event in list(shard.sinks[donor].events):
-                    sink.on_event(0, event)
+                    sink.on_event(0, relabel_event(event, label))
 
     def set_callback(self, name: str, callback: Callable | None) -> None:
         """Install (or clear) a query's push-delivery callback on every
@@ -1095,25 +1119,19 @@ class ShardedSgaRuntime:
                 "(intermediate streams live inside the process workers)"
             )
         shards = self._shards
-        index: int | None = None
-        for i, op in enumerate(shards[0].graph.operators):
-            produced = getattr(op, "out_label", None)
-            if produced is None:
-                produced = getattr(op, "label", None)
-            if produced == label and not isinstance(op, SinkOp):
-                index = i
-                break
-        if index is None:
+        # Compilation is deterministic, so every shard finds (or adds)
+        # the same logical node.
+        queries = list(self._queries.values())
+        producers = [shard.tap_producer(label, queries) for shard in shards]
+        if producers[0] is None:
             raise PlanError(f"no operator produces label {label!r}")
-        partitioned = self._op_partitioned(
-            shards[0], shards[0].graph.operators[index]
-        )
+        partitioned = self._op_partitioned(shards[0], producers[0])
         clock = [0]
         parts: list[_TapShardSink] = []
-        for shard in shards:
-            # Compilation is deterministic, so the operator at the same
-            # position is the same logical node on every shard.
-            producer = shard.graph.operators[index]
+        for shard, producer in zip(shards, producers):
+            # A relabel stage spliced into a live dataflow starts at its
+            # producer's watermark.
+            shard.graph.sync_watermarks()
             sink = _TapShardSink(f"tap[{label}]", clock)
             if interner is not None:
                 sink.interner = interner
@@ -1137,8 +1155,9 @@ class ShardedSgaRuntime:
         Exchange operators and sources declare their status by type;
         compiled plan operators are reverse-looked-up in the shard's
         compile caches, whose key forms encode the replication zone:
-        ``(plan, rep)`` / bare ``plan`` (WScan), ``("coalesce", plan,
-        rep)``, ``("route", plan)``, ``("pfilter", plan)``.
+        ``(plan, rep)`` / bare ``plan`` (WScan), ``("coalesce", (plan,
+        rep))``, ``("route", ...)``, ``("pfilter", ...)``, where
+        ``plan`` is a share key (relabel stages are RELABEL plans).
         """
         if isinstance(op, (ShardRouteOp, ShardPartitionFilterOp)):
             return True
@@ -1146,7 +1165,7 @@ class ShardedSgaRuntime:
             return False
         for cache in shard.caches.values():
             for key, cached in cache.items():
-                if cached is not op:
+                if cached.op is not op:
                     continue
                 if not isinstance(key, tuple):
                     # bare WScan key: one instance serves both zones,
@@ -1154,7 +1173,7 @@ class ShardedSgaRuntime:
                     return _stream_partitioned(key)
                 if isinstance(key[0], str):
                     if key[0] == "coalesce":
-                        return not key[2]
+                        return not key[1][1]
                     return True  # "route" / "pfilter"
                 plan, rep = key
                 # A rep-zone instance may also be cached under

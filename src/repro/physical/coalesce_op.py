@@ -40,6 +40,8 @@ class CoalesceOp(PhysicalOperator):
 
     def __init__(self, label: Label):
         super().__init__(f"coalesce[{label}]")
+        #: the label of the one stream it coalesces (its keys' label)
+        self._label = label
         #: per key: net emitted validity cover (disjoint, sorted)
         self._cover: dict[tuple, list[Interval]] = {}
         #: per key: multiset of dropped insert intervals awaiting their
@@ -348,12 +350,21 @@ class CoalesceOp(PhysicalOperator):
                 f"operator {self.name}: expected a coalesce state blob, "
                 f"got kind={state.get('kind')!r}"
             )
+        # Keys carry the coalesced stream's label.  A coalescer on a
+        # label-shared stream may be restored under another label than
+        # it was snapshotted with (see repro.checkpoint.topology), so
+        # they take this instance's.
+        label = self._label
+
+        def rekey(key) -> tuple:
+            return (key[0], key[1], label)
+
         self._cover = {
-            tuple(key): [Interval(ts, exp) for ts, exp in ivs]
+            rekey(key): [Interval(ts, exp) for ts, exp in ivs]
             for key, ivs in state["cover"]
         }
         self._dropped = {
-            tuple(key): Counter(
+            rekey(key): Counter(
                 {
                     Interval(ts, exp): count
                     for (ts, exp), count in entries
@@ -362,7 +373,7 @@ class CoalesceOp(PhysicalOperator):
             for key, entries in state["dropped"]
         }
         wheel = TimingWheel()
-        wheel.restore(state["wheel"], decode=tuple)
+        wheel.restore(state["wheel"], decode=rekey)
         self._wheel = wheel
 
 

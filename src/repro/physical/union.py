@@ -23,6 +23,10 @@ class UnionOp(PhysicalOperator):
     def __init__(self, label: Label | None = None):
         super().__init__(f"union[{label or ''}]")
         self.label = label
+        #: ``True`` on a relabel stage: the single-input UNION the
+        #: planner adds where an observer needs a label a shared
+        #: operator does not carry (transparent to checkpoint keys)
+        self.relabel_stage = False
 
     def on_event(self, port: int, event: Event) -> None:
         sgt = event.sgt
@@ -64,3 +68,14 @@ class UnionOp(PhysicalOperator):
             for s in sgts
         ]
         self.emit_batch(DeltaBatch(batch.boundary, out, batch.signs))
+
+
+def relabel_event(event: Event, label: Label) -> Event:
+    """``event`` with its sgt relabeled to ``label`` as
+    :meth:`UnionOp.on_event` does it (itself if it already carries
+    ``label``)."""
+    sgt = event.sgt
+    if sgt.label == label:
+        return event
+    relabeled = SGT(sgt.src, sgt.trg, label, sgt.interval, sgt._payload)
+    return Event(relabeled, event.sign)

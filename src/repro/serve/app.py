@@ -320,18 +320,24 @@ class GraphStreamServer:
                 )
                 await writer.drain()
             reason = sub.close_reason or "end of stream"
-            writer.write(http.ws_close_frame(1000, reason))
+            code = closer.result() if closer.done() else 1000
+            writer.write(http.ws_close_frame(code, reason))
             await writer.drain()
         finally:
             closer.cancel()
 
-    async def _ws_watch_close(self, reader, writer, sub) -> None:
-        """Consume client frames so a close (or EOF) ends the stream."""
+    async def _ws_watch_close(self, reader, writer, sub) -> int:
+        """Consume client frames so a close (or EOF) ends the stream;
+        returns the close code the stream answers with."""
         while True:
-            frame = await http.ws_read_frame(reader)
+            try:
+                frame = await http.ws_read_frame(reader)
+            except http.WsFrameTooLarge as exc:
+                sub.close(str(exc))
+                return http.WS_CLOSE_TOO_BIG
             if frame is None or frame[0] == http.WS_CLOSE:
                 sub.close()
-                return
+                return 1000
             if frame[0] == http.WS_PING:
                 writer.write(http.ws_frame(frame[1], http.WS_PONG))
 

@@ -21,6 +21,11 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Largest client WebSocket frame payload read.  Clients only send
+#: control frames here (close and ping, at most 125 bytes each per
+#: RFC 6455); a larger declared length is refused before any of the
+#: payload is buffered.
+MAX_WS_FRAME_BYTES = 64 * 1024
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -43,6 +48,8 @@ WS_TEXT = 0x1
 WS_CLOSE = 0x8
 WS_PING = 0x9
 WS_PONG = 0xA
+#: RFC 6455 close code: a message too big to process
+WS_CLOSE_TOO_BIG = 1009
 
 
 class HttpError(Exception):
@@ -51,6 +58,10 @@ class HttpError(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+class WsFrameTooLarge(Exception):
+    """A client frame declared a payload over :data:`MAX_WS_FRAME_BYTES`."""
 
 
 @dataclass
@@ -103,6 +114,8 @@ async def read_request(reader) -> HttpRequest | None:
         n = int(length)
     except ValueError:
         raise HttpError(400, f"bad Content-Length {length!r}") from None
+    if n < 0:
+        raise HttpError(400, f"bad Content-Length {length!r}")
     if n > MAX_BODY_BYTES:
         raise HttpError(413, "request body too large")
     body = await reader.readexactly(n) if n else b""
@@ -204,7 +217,10 @@ async def ws_read_frame(reader) -> tuple[int, bytes] | None:
     """Read one client frame → ``(opcode, payload)``; ``None`` on EOF.
 
     Client frames are masked per RFC 6455; fragmentation is not
-    supported (the serving protocol never needs it).
+    supported (the serving protocol never needs it).  Raises
+    :class:`WsFrameTooLarge` for a payload over
+    :data:`MAX_WS_FRAME_BYTES`; the caller closes with
+    :data:`WS_CLOSE_TOO_BIG`.
     """
     try:
         head = await reader.readexactly(2)
@@ -218,10 +234,18 @@ async def ws_read_frame(reader) -> tuple[int, bytes] | None:
             n = int.from_bytes(await reader.readexactly(2), "big")
         elif n == 127:
             n = int.from_bytes(await reader.readexactly(8), "big")
+    except Exception:
+        return None
+    if n > MAX_WS_FRAME_BYTES:
+        raise WsFrameTooLarge(
+            f"frame payload of {n} bytes exceeds {MAX_WS_FRAME_BYTES}"
+        )
+    try:
         mask = await reader.readexactly(4) if masked else b""
         payload = await reader.readexactly(n) if n else b""
     except Exception:
         return None
     if masked and payload:
-        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        key = int.from_bytes((mask * (n // 4 + 1))[:n], "big")
+        payload = (int.from_bytes(payload, "big") ^ key).to_bytes(n, "big")
     return opcode, payload

@@ -121,3 +121,24 @@ class TestRandomizedNetCoverage:
             raw.on_event(0, event)
             op.on_event(0, event)
         assert sink.coverage() == raw.coverage()
+
+
+class TestRestoreUnderAnotherLabel:
+    def test_restored_cover_takes_the_restoring_label(self):
+        """A coalescer on a label-shared stream may be restored under
+        another label than it was snapshotted with; its cover still
+        suppresses the stream's duplicates and absorbs their
+        retractions."""
+        op, _ = wire()
+        op.on_event(0, ev(0, 10))
+        op.on_event(0, ev(2, 8))  # dropped, on the ledger
+        graph = DataflowGraph()
+        restored = CoalesceOp("m")
+        sink = SinkOp()
+        graph.add(restored)
+        graph.add(sink)
+        graph.connect(restored, sink, 0)
+        restored.restore_state(op.snapshot_state())
+        restored.on_event(0, Event(SGT("a", "b", "m", Interval(3, 9)), 1))
+        restored.on_event(0, Event(SGT("a", "b", "m", Interval(2, 8)), DELETE))
+        assert sink.events == []
